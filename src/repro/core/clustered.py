@@ -31,7 +31,9 @@ chain, per §5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT, is_power_of_two
 from repro.addr.space import DEFAULT_ATTRS, Mapping
@@ -44,11 +46,14 @@ from repro.errors import (
 from repro.mmu.cache_model import CacheModel, DEFAULT_CACHE
 from repro.pagetables.base import (
     BlockLookupResult,
+    BulkItem,
+    BulkTarget,
     LookupResult,
     PageTable,
     WalkOutcome,
+    as_mappings,
 )
-from repro.pagetables.hashed import multiplicative_hash
+from repro.pagetables.hashed import bucket_ids, multiplicative_hash
 from repro.pagetables.pte import PTEKind
 
 #: Bytes of tag + next-pointer overhead per node (two 64-bit words).
@@ -287,8 +292,9 @@ class ClusteredPageTable(PageTable):
     def _nodes_for(self, vpbn: int) -> List[ClusteredNode]:
         return [node for node in self._chain(vpbn) if node.vpbn == vpbn]
 
-    def _attach(self, node: ClusteredNode) -> None:
-        bucket = self._bucket_of(node.vpbn)
+    def _attach(self, node: ClusteredNode, bucket: Optional[int] = None) -> None:
+        if bucket is None:
+            bucket = self._bucket_of(node.vpbn)
         chain = self._buckets.setdefault(bucket, [])
         self.stats.op_nodes_visited += max(1, len(chain))
         chain.append(node)
@@ -334,6 +340,68 @@ class ClusteredPageTable(PageTable):
         )
         node.slots[boff] = Mapping(ppn, attrs)
         self._attach(node)
+
+    def insert_many(
+        self, items: Iterable[BulkItem], attrs: int = DEFAULT_ATTRS
+    ) -> int:
+        """Bulk base-page insert, exactly the :meth:`insert` loop.
+
+        Each page block is hashed and its chain searched once per chunk,
+        not once per page: a block without a clustered node gets one,
+        linked at the block's first page in item order (the loop's chain
+        order), and every page of the block fills a slot of it.
+        """
+        if type(self).insert is not ClusteredPageTable.insert:
+            return super().insert_many(items, attrs)
+        return self._insert_bulk(items, attrs)
+
+    def _insert_chunk(
+        self,
+        vpns: List[int],
+        ppns: List[int],
+        targets: List[BulkTarget],
+        attrs: int,
+    ) -> bool:
+        """Insert one validated chunk; False (no change) on a mapped page."""
+        s = self.subblock_factor
+        layout = self.layout
+        vpbn_array = np.array(vpns, dtype=np.int64) >> (s.bit_length() - 1)
+        vpbns = vpbn_array.tolist()
+        buckets_of = bucket_ids(vpbn_array, self.hash_fn, self.num_buckets)
+        blocks: Dict[int, int] = {}  # vpbn -> bucket
+        tagged: Dict[int, List[ClusteredNode]] = {}  # nodes already there
+        for vpn, vpbn, bucket in zip(vpns, vpbns, buckets_of):
+            if vpbn not in blocks:
+                blocks[vpbn] = bucket
+                nodes = [
+                    node for node in self._buckets.get(bucket, ())
+                    if node.vpbn == vpbn
+                ]
+                if nodes:
+                    tagged[vpbn] = nodes
+            for node in tagged.get(vpbn, ()):
+                if node.mapping_for(vpn, layout) is not None:
+                    return False
+        base = PTEKind.BASE
+        # Pages fill their block's first clustered node, as in insert().
+        open_nodes: Dict[int, ClusteredNode] = {}
+        for vpbn, nodes in tagged.items():
+            for node in nodes:
+                if node.kind is base:
+                    open_nodes[vpbn] = node
+                    break
+        created = 0
+        for vpn, vpbn, mapping in zip(vpns, vpbns, as_mappings(targets, attrs)):
+            node = open_nodes.get(vpbn)
+            if node is None:
+                node = open_nodes[vpbn] = ClusteredNode(vpbn, base, s, [None] * s)
+                self._attach(node, blocks[vpbn])
+                created += 1
+            node.slots[vpn & (s - 1)] = mapping
+        # Every page that fills a slot of an existing node visits it once.
+        self.stats.op_nodes_visited += len(vpns) - created
+        self.stats.inserts += len(vpns)
+        return True
 
     def insert_superpage(
         self, base_vpn: int, npages: int, base_ppn: int, attrs: int = DEFAULT_ATTRS

@@ -48,8 +48,6 @@ def _replay_through_cache(
         _, reads = image.walk_reads(int(vpn))
         seen_lines = set()
         for address, nbytes in reads:
-            first = address // image.node_bytes  # probes, not lines; keep lines:
-            del first
             start = address // cache.line_size
             end = (address + nbytes - 1) // cache.line_size
             seen_lines.update(range(start, end + 1))

@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.addr.layout import AddressLayout
 from repro.addr.space import AddressSpace, Mapping
@@ -87,6 +88,18 @@ class TranslationMap:
         policy = policy or BASE_ONLY_POLICY
         tmap = cls(space.layout)
         s = space.layout.subblock_factor
+        if not (policy.enable_superpages or policy.enable_subblocks):
+            # Every populated block is BASE: skip the classification but
+            # keep decide()'s block order, which fixes populate's order.
+            shift = s.bit_length() - 1
+            get = space.get
+            for vpbn in {vpn >> shift for vpn in space}:
+                block_base = vpbn << shift
+                for vpn in range(block_base, block_base + s):
+                    mapping = get(vpn)
+                    if mapping is not None:
+                        tmap._base[vpn] = mapping
+            return tmap
         for decision in policy.decide(space).values():
             block_base = space.layout.vpn_of_block(decision.vpbn)
             if decision.format is BlockFormat.SUPERPAGE:
@@ -214,16 +227,12 @@ class TranslationMap:
         grain-16 hashed, superpage-index) or its replicate-PTE fallback
         (linear, forward-mapped).
         """
-        for vpn, mapping in self._base.items():
-            table.insert(vpn, mapping.ppn, mapping.attrs)
+        if base_pages_only:
+            table.insert_many(chain(self._base.items(), self._wide_pages()))
+            return
+        table.insert_many(self._base.items())
         for vpbn, pte in self._wide.items():
-            if base_pages_only:
-                for boff in range(pte.npages):
-                    if (pte.valid_mask >> boff) & 1:
-                        table.insert(
-                            pte.base_vpn + boff, pte.base_ppn + boff, pte.attrs
-                        )
-            elif pte.kind is PTEKind.SUPERPAGE:
+            if pte.kind is PTEKind.SUPERPAGE:
                 table.insert_superpage(
                     pte.base_vpn, pte.npages, pte.base_ppn, pte.attrs
                 )
@@ -231,6 +240,15 @@ class TranslationMap:
                 table.insert_partial_subblock(
                     vpbn, pte.valid_mask, pte.base_ppn, pte.attrs
                 )
+
+    def _wide_pages(self) -> Iterator[Tuple[int, Mapping]]:
+        """Every wide PTE decomposed into per-page mappings, in map order."""
+        for pte in self._wide.values():
+            for boff in range(pte.npages):
+                if (pte.valid_mask >> boff) & 1:
+                    yield pte.base_vpn + boff, Mapping(
+                        pte.base_ppn + boff, pte.attrs
+                    )
 
     def __len__(self) -> int:
         counts = self.counts()

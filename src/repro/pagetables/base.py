@@ -28,7 +28,8 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT
 from repro.addr.space import DEFAULT_ATTRS, Mapping
@@ -181,6 +182,52 @@ class WalkStats:
 
 #: Type of a raw walk: (result or None on fault, cache lines, probes).
 WalkOutcome = Tuple[Optional[LookupResult], int, int]
+
+#: What one :meth:`PageTable.insert_many` item maps its VPN to: a PPN
+#: (inserted with the call's ``attrs``) or a :class:`Mapping`.
+BulkTarget = Union[int, Mapping]
+#: One :meth:`PageTable.insert_many` item: ``(vpn, target)``.
+BulkItem = Tuple[int, BulkTarget]
+
+#: Items per chunk of an array-driven bulk insert.
+BULK_CHUNK = 4096
+
+
+def _bulk_columns(
+    batch: List[BulkItem], layout: AddressLayout
+) -> Optional[Tuple[List[int], List[int], List[BulkTarget]]]:
+    """Split one bulk-insert chunk into VPN, PPN and target columns.
+
+    Returns None unless every item is a pair, every VPN and PPN is a
+    plain ``int`` in range, and no VPN repeats: the chunks on which the
+    :meth:`PageTable.insert` loop raises no unpacking, range or
+    intra-chunk duplicate error.
+    """
+    try:
+        vpns = [vpn for vpn, _ in batch]
+        targets = [target for _, target in batch]
+    except (TypeError, ValueError):
+        return None
+    ppns = [
+        target.ppn if isinstance(target, Mapping) else target
+        for target in targets
+    ]
+    for column, top in ((vpns, layout.max_vpn), (ppns, layout.max_ppn)):
+        if set(map(type, column)) != {int}:
+            return None
+        if min(column) < 0 or max(column) > top:
+            return None
+    if len(set(vpns)) != len(vpns):
+        return None
+    return vpns, ppns, targets
+
+
+def as_mappings(targets: List[BulkTarget], attrs: int) -> List[Mapping]:
+    """The :class:`Mapping` of every bulk target, sharing given ones."""
+    return [
+        target if isinstance(target, Mapping) else Mapping(target, attrs)
+        for target in targets
+    ]
 
 
 class PageTable(abc.ABC):
@@ -368,24 +415,54 @@ class PageTable(abc.ABC):
     # ------------------------------------------------------------------
     def populate(self, space) -> None:
         """Insert every base-page mapping of an address-space snapshot."""
-        for vpn, mapping in space.items():
-            self.insert(vpn, mapping.ppn, mapping.attrs)
+        self.insert_many(space.items())
 
     def insert_many(
-        self, items: Iterable[Tuple[int, int]], attrs: int = DEFAULT_ATTRS
+        self, items: Iterable[BulkItem], attrs: int = DEFAULT_ATTRS
     ) -> int:
-        """Insert ``(vpn, ppn)`` pairs in bulk; returns how many.
+        """Insert base-page mappings in bulk; returns how many.
 
-        The tenant-admission path of a shared arena: one call per tenant
-        rather than one per page, so arena construction-cost accounting
-        has a single seam to charge (and subclasses a single hook to
-        vectorise).  Semantics are exactly a loop over :meth:`insert`.
+        Each item is ``(vpn, ppn)``, inserted with ``attrs``, or
+        ``(vpn, mapping)`` with a :class:`~repro.addr.space.Mapping`
+        that carries its own attributes.  This is the one bulk
+        construction API: translation-map population and tenant
+        admission both go through it.  Semantics are exactly a loop over
+        :meth:`insert`, and this loop is that definition: the hashed,
+        clustered and forward-mapped tables override it with array-driven
+        versions that must leave identical state, statistics and errors.
         """
         count = 0
-        for vpn, ppn in items:
-            self.insert(vpn, ppn, attrs)
+        for vpn, target in items:
+            if isinstance(target, Mapping):
+                self.insert(vpn, target.ppn, target.attrs)
+            else:
+                self.insert(vpn, target, attrs)
             count += 1
         return count
+
+    def _insert_bulk(self, items: Iterable[BulkItem], attrs: int) -> int:
+        """Drive an array-driven :meth:`insert_many` chunk by chunk.
+
+        The table's ``_insert_chunk(vpns, ppns, targets, attrs)`` inserts
+        one chunk whose VPNs and PPNs are in range and distinct, or
+        returns False without mutating anything when one of its VPNs is
+        already mapped.  The first chunk that fails either check, and
+        everything after it, goes through the :meth:`insert` loop, so
+        errors and the partial state they leave are the loop's own.
+        Chunks bound the per-item lists a bulk build holds at once.
+        """
+        count = 0
+        rest = iter(items)
+        while True:
+            batch = list(islice(rest, BULK_CHUNK))
+            if not batch:
+                return count
+            columns = _bulk_columns(batch, self.layout)
+            if columns is None or not self._insert_chunk(*columns, attrs):
+                return count + PageTable.insert_many(
+                    self, chain(batch, rest), attrs
+                )
+            count += len(batch)
 
     def remove_many(self, vpns: Iterable[int]) -> int:
         """Remove the mappings covering ``vpns``; returns how many.

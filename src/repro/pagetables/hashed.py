@@ -29,7 +29,9 @@ Three variants from the paper are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT
 from repro.addr.space import DEFAULT_ATTRS, Mapping
@@ -39,8 +41,15 @@ from repro.errors import (
     MappingExistsError,
     PageFaultError,
 )
+from repro.mmu.batch_kernels import fib_buckets
 from repro.mmu.cache_model import CacheModel, DEFAULT_CACHE
-from repro.pagetables.base import LookupResult, PageTable, WalkOutcome
+from repro.pagetables.base import (
+    BulkItem,
+    BulkTarget,
+    LookupResult,
+    PageTable,
+    WalkOutcome,
+)
 from repro.pagetables.pte import PTEKind
 
 #: Node size for the paper's standard hashed PTE: tag + next + mapping.
@@ -66,6 +75,16 @@ def multiplicative_hash(key: int, num_buckets: int) -> int:
     product ^= product >> 32
     product ^= product >> 16
     return product % num_buckets
+
+
+def bucket_ids(
+    keys: np.ndarray, hash_fn: Callable[[int, int], int], num_buckets: int
+) -> List[int]:
+    """``hash_fn(key, num_buckets)`` of every key, vectorised for the
+    default :func:`multiplicative_hash`."""
+    if hash_fn is multiplicative_hash:
+        return fib_buckets(keys, num_buckets).tolist()
+    return [hash_fn(key, num_buckets) for key in keys.tolist()]
 
 
 @dataclass
@@ -143,6 +162,11 @@ class HashedPageTable(PageTable):
 
     def _bucket_of(self, tag: int) -> int:
         return self.hash_fn(tag, self.num_buckets)
+
+    def _bucket_ids(self, tags: List[int]) -> List[int]:
+        """:meth:`_bucket_of` of every tag, vectorised."""
+        keys = np.array(tags, dtype=np.int64)
+        return bucket_ids(keys, self.hash_fn, self.num_buckets)
 
     def _chain(self, tag: int) -> List[HashNode]:
         return self._buckets.get(self._bucket_of(tag), [])
@@ -224,6 +248,57 @@ class HashedPageTable(PageTable):
         self.layout.check_vpn(vpn)
         self.layout.check_ppn(ppn)
         self._insert_node(HashNode(tag=vpn, kind=PTEKind.BASE, ppn=ppn, attrs=attrs))
+
+    def insert_many(
+        self, items: Iterable[BulkItem], attrs: int = DEFAULT_ATTRS
+    ) -> int:
+        """Bulk base-page insert, exactly the :meth:`insert` loop.
+
+        Bucket ids come from one vectorised hash per chunk; nodes are
+        appended in item order, so chains and the bucket dict end up in
+        the loop's order.  Tables whose ``insert`` this does not mirror
+        (grain above 1, subclasses with their own insert) take the loop.
+        """
+        mirrored = (HashedPageTable.insert, SuperpageIndexHashedPageTable.insert)
+        if type(self).insert not in mirrored or self.grain != 1:
+            return super().insert_many(items, attrs)
+        return self._insert_bulk(items, attrs)
+
+    def _insert_chunk(
+        self,
+        vpns: List[int],
+        ppns: List[int],
+        targets: List[BulkTarget],
+        attrs: int,
+    ) -> bool:
+        """Append one validated chunk; False (no change) on a taken tag."""
+        buckets = self._buckets
+        buckets_of = self._bucket_ids(vpns)
+        if buckets:
+            for vpn, bucket in zip(vpns, buckets_of):
+                for node in buckets.get(bucket, ()):
+                    if node.tag == vpn:
+                        return False
+        base = PTEKind.BASE
+        visited = 0  # the loop's duplicate scan: max(1, chain length)
+        for vpn, ppn, target, bucket in zip(vpns, ppns, targets, buckets_of):
+            if isinstance(target, Mapping):
+                node = HashNode(vpn, base, ppn, target.attrs)
+            else:
+                node = HashNode(vpn, base, ppn, attrs)
+            chain = buckets.get(bucket)
+            if chain is None:
+                # Start empty and append, as the loop does, so each chain
+                # list grows (and over-allocates) exactly like the loop's.
+                chain = buckets[bucket] = []
+            visited += len(chain) or 1
+            chain.append(node)
+        count = len(vpns)
+        self._node_count += count
+        self.stats.op_nodes_visited += visited
+        self.stats.op_nodes_allocated += count
+        self.stats.inserts += count
+        return True
 
     def insert_superpage(
         self, base_vpn: int, npages: int, base_ppn: int, attrs: int = DEFAULT_ATTRS
@@ -371,6 +446,10 @@ class SuperpageIndexHashedPageTable(HashedPageTable):
 
     def _index_of(self, vpn: int) -> int:
         return vpn // self.index_pages
+
+    def _bucket_ids(self, tags: List[int]) -> List[int]:
+        keys = np.array(tags, dtype=np.int64) // self.index_pages
+        return bucket_ids(keys, self.hash_fn, self.num_buckets)
 
     def _bucket_of(self, tag: int) -> int:
         # Tags in this table are base VPNs; every PTE hashes on the fixed

@@ -20,13 +20,14 @@ Two §7 observations shape the design:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.addr.layout import AddressLayout, DEFAULT_LAYOUT
 from repro.addr.space import DEFAULT_ATTRS
 from repro.errors import ConfigurationError, PageFaultError
 from repro.mmu.cache_model import CacheModel, DEFAULT_CACHE
-from repro.pagetables.base import LookupResult, PageTable, WalkOutcome
+from repro.pagetables.base import BulkItem, LookupResult, PageTable, WalkOutcome
 from repro.pagetables.hashed import HashedPageTable, multiplicative_hash
 from repro.pagetables.pte import PTEKind
 
@@ -186,6 +187,29 @@ class SoftwareTLBTable(PageTable):
         self.backing.insert(vpn, ppn, attrs)
         self.stats.inserts += 1
         self._evict(vpn // self.grain)  # keep the cache coherent
+
+    def insert_many(
+        self, items: Iterable[BulkItem], attrs: int = DEFAULT_ATTRS
+    ) -> int:
+        """Bulk-insert into the backing table, then evict covered tags.
+
+        Exactly the :meth:`insert` loop: the backing's ``stats.inserts``
+        counts the pages it took (also when it raises part-way), and each
+        of them is counted here and has its tag evicted.  Eviction is
+        skipped while every set is empty, when it cannot change anything.
+        """
+        evict = any(self._sets)
+        if evict and isinstance(items, Iterator):
+            items = list(items)
+        before = self.backing.stats.inserts
+        try:
+            return self.backing.insert_many(items, attrs)
+        finally:
+            done = self.backing.stats.inserts - before
+            self.stats.inserts += done
+            if evict:
+                for vpn, _ in islice(items, done):
+                    self._evict(vpn // self.grain)
 
     def insert_superpage(
         self, base_vpn: int, npages: int, base_ppn: int, attrs: int = DEFAULT_ATTRS

@@ -17,12 +17,13 @@ Two strategies the paper describes work for *any* page table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.addr.space import DEFAULT_ATTRS, Mapping
 from repro.errors import AlignmentError, ConfigurationError, PageFaultError
 from repro.pagetables.base import (
     BlockLookupResult,
+    BulkItem,
     LookupResult,
     PageTable,
     WalkOutcome,
@@ -239,6 +240,24 @@ class MultiplePageTables(PageTable):
                 self.stats.inserts += 1
                 return
         raise ConfigurationError("no constituent table accepts base-page PTEs")
+
+    def insert_many(
+        self, items: Iterable[BulkItem], attrs: int = DEFAULT_ATTRS
+    ) -> int:
+        """Route a bulk base-page insert to the base-grain table.
+
+        Exactly the :meth:`insert` loop: the constituent's
+        ``stats.inserts`` counts the pages it took, also when it raises
+        part-way, and this table counts the same.
+        """
+        for table in self.tables:
+            if getattr(table, "grain", 1) == 1:
+                before = table.stats.inserts
+                try:
+                    return table.insert_many(items, attrs)
+                finally:
+                    self.stats.inserts += table.stats.inserts - before
+        return super().insert_many(items, attrs)
 
     def insert_superpage(
         self, base_vpn: int, npages: int, base_ppn: int, attrs: int = DEFAULT_ATTRS
